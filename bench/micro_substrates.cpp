@@ -1,6 +1,7 @@
 // Micro benchmark A7: substrate throughput — HTM point location and region
-// covers (the q -> B(q) semantic mapping), Greedy-Dual-Size batch
-// decisions, and trace-generation throughput. These bound the middleware's
+// covers on a prebuilt mesh (the q -> B(q) semantic mapping), Greedy-Dual-
+// Size batch decisions, and trace generation of the paper world (the
+// workload layer of the astronomy set-up). These bound the middleware's
 // per-event bookkeeping cost.
 #include <benchmark/benchmark.h>
 
@@ -9,8 +10,9 @@
 
 #include "cache/cache_store.h"
 #include "cache/gds.h"
-#include "htm/cover.h"
+#include "htm/mesh.h"
 #include "htm/partition_map.h"
+#include "sim/experiment.h"
 #include "storage/density_model.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -27,10 +29,10 @@ void BM_HtmLocate(benchmark::State& state) {
     points.push_back(htm::normalized(
         {rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 1)}));
   }
-  const int level = static_cast<int>(state.range(0));
+  const htm::Mesh mesh{static_cast<int>(state.range(0))};
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(htm::locate(points[i++ & 1023], level));
+    benchmark::DoNotOptimize(mesh.locate(points[i++ & 1023]));
   }
 }
 BENCHMARK(BM_HtmLocate)->Arg(5)->Arg(8);
@@ -44,10 +46,10 @@ void BM_HtmConeCover(benchmark::State& state) {
                          rng.normal(0, 1)}),
         rng.uniform(0.005, 0.05)});
   }
-  const int level = static_cast<int>(state.range(0));
+  const htm::Mesh mesh{static_cast<int>(state.range(0))};
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(htm::cover_region(cones[i++ & 255], level));
+    benchmark::DoNotOptimize(mesh.cover(cones[i++ & 255]));
   }
 }
 BENCHMARK(BM_HtmConeCover)->Arg(5)->Arg(6);
@@ -75,26 +77,27 @@ void BM_GdsBatchDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_GdsBatchDecision)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_TraceGeneration(benchmark::State& state) {
-  const auto events = state.range(0);
-  auto density = std::make_shared<storage::DensityModel>(4, 7);
-  density->scale_to_total_rows(4e7);
-  const auto map = std::make_shared<htm::PartitionMap>(
-      htm::PartitionMap::build(4, density->weights(), 30));
+// The paper world (§6.1: level-5 mesh, 68 objects, 4e8 rows) at 20k
+// queries + 20k updates; one iteration is one full TraceGenerator::generate.
+void BM_TraceGenerate(benchmark::State& state) {
+  const sim::SetupParams paper;
+  auto density = std::make_shared<storage::DensityModel>(paper.base_level,
+                                                         paper.sky_seed);
+  density->scale_to_total_rows(paper.total_rows);
+  const auto map = std::make_shared<htm::PartitionMap>(htm::PartitionMap::build(
+      paper.base_level, density->weights(), paper.object_target));
   workload::TraceParams params;
-  params.query_count = events / 2;
-  params.update_count = events / 2;
-  params.postwarmup_query_gb = 1.0;
-  params.hotspot_max_object_gb = 1.0;
+  params.query_count = 20'000;
+  params.update_count = 20'000;
+  params.postwarmup_query_gb = 300.0 * 20'000 / 250'000;
   const workload::TraceGenerator generator{map, *density, params};
-  std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.generate(++seed));
+    benchmark::DoNotOptimize(generator.generate(paper.trace_seed));
   }
-  state.SetItemsProcessed(state.iterations() * events);
+  state.SetItemsProcessed(state.iterations() *
+                          (params.query_count + params.update_count));
 }
-BENCHMARK(BM_TraceGeneration)->Arg(2000)->Arg(8000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
 
 // Work-stealing substrate (ISSUE 9): 64 jobs with a zipf-like skewed cost
 // profile (job j spins ~1/(j+1) of the heaviest job's work), LPT-packed

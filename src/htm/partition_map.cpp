@@ -29,7 +29,7 @@ struct Candidate {
 PartitionMap PartitionMap::build(int base_level,
                                  const std::vector<double>& base_weights,
                                  std::size_t target_count) {
-  DELTA_CHECK(base_level >= 1 && base_level <= 12);
+  DELTA_CHECK(base_level >= 1 && base_level <= Mesh::kMaxLevel);
   const std::int64_t base_count = trixel_count_at_level(base_level);
   DELTA_CHECK_MSG(static_cast<std::int64_t>(base_weights.size()) == base_count,
                   "expected " << base_count << " base weights, got "
@@ -102,8 +102,7 @@ PartitionMap PartitionMap::build(int base_level,
               return pa < pb;
             });
 
-  PartitionMap map;
-  map.base_level_ = base_level;
+  PartitionMap map{base_level};
   map.partition_trixels_ = final_partitions;
   map.base_to_object_.assign(static_cast<std::size_t>(base_count), -1);
   map.partition_weights_.reserve(final_partitions.size());
@@ -162,11 +161,11 @@ std::pair<std::int64_t, std::int64_t> PartitionMap::base_range(
 
 std::vector<ObjectId> PartitionMap::objects_for_region(
     const Region& region) const {
-  const std::vector<HtmId> trixels = cover_region(region, base_level_);
+  const std::vector<std::int32_t> cover = mesh_.cover(region);
   std::vector<ObjectId> out;
-  out.reserve(trixels.size());
-  for (const HtmId t : trixels) {
-    out.push_back(object_for_trixel(t));
+  out.reserve(cover.size());
+  for (const std::int32_t idx : cover) {
+    out.push_back(object_for_base_index(idx));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -174,7 +173,7 @@ std::vector<ObjectId> PartitionMap::objects_for_region(
 }
 
 ObjectId PartitionMap::object_for_point(const Vec3& p) const {
-  return object_for_trixel(locate(p, base_level_));
+  return object_for_base_index(mesh_.locate(p));
 }
 
 }  // namespace delta::htm

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "htm/cover.h"
+#include "htm/mesh.h"
 #include "htm/region.h"
 #include "htm/trixel.h"
 #include "util/types.h"
@@ -30,6 +30,10 @@ class PartitionMap {
                             std::size_t target_count);
 
   [[nodiscard]] int base_level() const { return base_level_; }
+
+  /// Precomputed geometry of levels 0..base_level(); its indices at the base
+  /// level are this map's base indices.
+  [[nodiscard]] const Mesh& mesh() const { return mesh_; }
   [[nodiscard]] std::int64_t base_trixel_count() const {
     return static_cast<std::int64_t>(base_to_object_.size());
   }
@@ -70,9 +74,11 @@ class PartitionMap {
   [[nodiscard]] ObjectId object_for_point(const Vec3& p) const;
 
  private:
-  PartitionMap() = default;
+  explicit PartitionMap(int base_level)
+      : base_level_(base_level), mesh_(base_level) {}
 
   int base_level_ = 0;
+  Mesh mesh_;
   std::size_t object_count_ = 0;
   std::vector<HtmId> partition_trixels_;   // indexed by ObjectId
   std::vector<double> partition_weights_;  // indexed by ObjectId

@@ -1,5 +1,6 @@
 #include "htm/trixel.h"
 
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -28,26 +29,14 @@ constexpr std::array<std::array<Vec3, 3>, 8> kRoots{{
     {{kV2, kV0, kV1}},  // N3, id 15
 }};
 
-// Inclusive side test with a tiny tolerance so points on shared edges are
-// found in at least one sibling.
-bool inside_triangle(const std::array<Vec3, 3>& v, const Vec3& p) {
-  constexpr double kEps = -1e-12;
-  return dot(cross(v[0], v[1]), p) >= kEps &&
-         dot(cross(v[1], v[2]), p) >= kEps &&
-         dot(cross(v[2], v[0]), p) >= kEps;
-}
-
 }  // namespace
 
 int level_of(HtmId id) {
-  DELTA_CHECK_MSG(id >= 8, "invalid HTM id " << id);
-  int level = 0;
-  while (id >= 32) {
-    id /= 4;
-    ++level;
-  }
-  DELTA_CHECK_MSG(id >= 8 && id < 16, "invalid HTM id");
-  return level;
+  // A level-L id lies in [8 * 4^L, 16 * 4^L): its highest set bit is bit
+  // 3 + 2L, so valid ids have an even bit width of at least 4.
+  const int width = std::bit_width(static_cast<std::uint64_t>(id));
+  DELTA_CHECK_MSG(id >= 8 && width % 2 == 0, "invalid HTM id " << id);
+  return (width - 4) / 2;
 }
 
 std::int64_t trixel_count_at_level(int level) {
@@ -112,10 +101,6 @@ Trixel Trixel::from_id(HtmId id) {
   return t;
 }
 
-bool Trixel::contains(const Vec3& p) const {
-  return inside_triangle(v_, p);
-}
-
 Vec3 Trixel::center() const {
   return normalized(v_[0] + v_[1] + v_[2]);
 }
@@ -137,29 +122,6 @@ double Trixel::area() const {
   const double t = std::tan(s / 2.0) * std::tan((s - a) / 2.0) *
                    std::tan((s - b) / 2.0) * std::tan((s - c) / 2.0);
   return 4.0 * std::atan(std::sqrt(std::max(t, 0.0)));
-}
-
-HtmId locate(const Vec3& p, int level) {
-  const Vec3 unit = normalized(p);
-  for (int r = 0; r < 8; ++r) {
-    Trixel t = Trixel::root(r);
-    if (!t.contains(unit)) continue;
-    for (int l = 0; l < level; ++l) {
-      bool descended = false;
-      for (int c = 0; c < 4; ++c) {
-        Trixel ch = t.child(c);
-        if (ch.contains(unit)) {
-          t = ch;
-          descended = true;
-          break;
-        }
-      }
-      DELTA_CHECK_MSG(descended, "point escaped trixel during descent");
-    }
-    return t.id();
-  }
-  DELTA_CHECK_MSG(false, "point not located in any root trixel");
-  return 0;  // unreachable
 }
 
 }  // namespace delta::htm

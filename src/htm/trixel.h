@@ -38,6 +38,16 @@ constexpr HtmId child_of(HtmId id, int i) { return id * 4 + i; }
 /// Ancestor of `id` at `ancestor_level` (<= level_of(id)).
 HtmId ancestor_at_level(HtmId id, int ancestor_level);
 
+/// Inclusive side test of point p against the triangle with corners v (in
+/// HTM's counter-clockwise order), with a tiny tolerance so points on shared
+/// edges are found in at least one sibling.
+inline bool triangle_contains(const std::array<Vec3, 3>& v, const Vec3& p) {
+  constexpr double kEps = -1e-12;
+  return dot(cross(v[0], v[1]), p) >= kEps &&
+         dot(cross(v[1], v[2]), p) >= kEps &&
+         dot(cross(v[2], v[0]), p) >= kEps;
+}
+
 /// A spherical triangle of the mesh with its three unit-vector corners.
 class Trixel {
  public:
@@ -55,7 +65,9 @@ class Trixel {
   [[nodiscard]] Trixel child(int i) const;
 
   /// True when the point (unit vector) lies inside this trixel.
-  [[nodiscard]] bool contains(const Vec3& p) const;
+  [[nodiscard]] bool contains(const Vec3& p) const {
+    return triangle_contains(v_, p);
+  }
 
   /// Centroid of the three corners, normalized; used as bounding-circle
   /// center.
@@ -73,8 +85,5 @@ class Trixel {
   HtmId id_;
   std::array<Vec3, 3> v_;
 };
-
-/// Locates the level-`level` trixel containing point p. O(level).
-HtmId locate(const Vec3& p, int level);
 
 }  // namespace delta::htm

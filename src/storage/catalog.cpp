@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "htm/cover.h"
 #include "util/check.h"
 
 namespace delta::storage {
@@ -84,13 +83,7 @@ double SkyCatalog::initial_object_rows(ObjectId id) const {
 }
 
 double SkyCatalog::estimate_rows(const htm::Region& region) const {
-  const auto cover = htm::cover_region(region, map_->base_level());
-  std::vector<std::int32_t> indices;
-  indices.reserve(cover.size());
-  for (const htm::HtmId id : cover) {
-    indices.push_back(static_cast<std::int32_t>(htm::index_in_level(id)));
-  }
-  return estimate_rows_with_cover(region, indices);
+  return estimate_rows_with_cover(region, map_->mesh().cover(region));
 }
 
 double SkyCatalog::estimate_rows_with_cover(
@@ -99,6 +92,7 @@ double SkyCatalog::estimate_rows_with_cover(
   if (base_indices.empty()) return 0.0;
   // Average density over the cover, times the analytic region area: smooth
   // result sizes even for regions smaller than one base trixel.
+  const htm::Mesh& mesh = map_->mesh();
   double cover_rows = 0.0;
   double cover_area = 0.0;
   for (const std::int32_t idx : base_indices) {
@@ -107,9 +101,7 @@ double SkyCatalog::estimate_rows_with_cover(
     const double growth =
         initial_rows_[oi] > 0.0 ? current_rows_[oi] / initial_rows_[oi] : 1.0;
     cover_rows += base_rows_[static_cast<std::size_t>(idx)] * growth;
-    cover_area +=
-        htm::Trixel::from_id(htm::id_from_index(map_->base_level(), idx))
-            .area();
+    cover_area += mesh.area(idx);
   }
   if (cover_area <= 0.0) return 0.0;
   const double area = std::min(region_area(region), cover_area);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "htm/cover.h"
 #include "util/check.h"
 
 namespace delta::workload {
@@ -86,6 +85,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
       params_.agg_weight, params_.scan_chunk_weight};
 
   const auto& density_weights = density_->weights();
+  const htm::Mesh& mesh = map_->mesh();
   const Bytes row_bytes = catalog.row_bytes();
 
   const auto make_query = [&](std::int64_t query_index,
@@ -172,11 +172,12 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
       }
 
       // Base cover restricted to trixels that actually hold data.
-      const auto cover = htm::cover_region(region, map_->base_level());
+      // Reserved at the cover size rather than grown by doubling: the trace
+      // keeps one base cover per query.
+      const std::vector<std::int32_t> cover = mesh.cover(region);
       std::vector<std::int32_t> base_cover;
       base_cover.reserve(cover.size());
-      for (const htm::HtmId id : cover) {
-        const auto idx = static_cast<std::int32_t>(htm::index_in_level(id));
+      for (const std::int32_t idx : cover) {
         if (density_weights[static_cast<std::size_t>(idx)] > 0.0) {
           base_cover.push_back(idx);
         }
@@ -235,8 +236,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
     u.time = now;
     for (int attempt = 0; attempt < 4096; ++attempt) {
       const htm::Vec3 pos = scans.next_position();
-      const htm::HtmId trixel = htm::locate(pos, map_->base_level());
-      const auto idx = static_cast<std::int32_t>(htm::index_in_level(trixel));
+      const auto idx = static_cast<std::int32_t>(mesh.locate(pos));
       if (density_weights[static_cast<std::size_t>(idx)] <= 0.0) {
         continue;  // scan walked over a dataless sliver: keep walking
       }

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "htm_reference.h"
 #include "util/rng.h"
 
 namespace delta::htm {
@@ -133,7 +134,7 @@ TEST(PartitionMapTest, PointLookupConsistentWithRanges) {
     const Vec3 p = normalized({rng.normal(0, 1), rng.normal(0, 1),
                                rng.normal(0, 1)});
     const ObjectId o = map.object_for_point(p);
-    const HtmId base = locate(p, 4);
+    const HtmId base = reference::locate(p, 4);
     EXPECT_EQ(o, map.object_for_trixel(base));
   }
 }

@@ -2,7 +2,7 @@
 
 #include <numbers>
 
-#include "htm/cover.h"
+#include "htm/mesh.h"
 #include "htm/region.h"
 #include "util/rng.h"
 
@@ -76,13 +76,13 @@ TEST(RegionTest, AnchorInsideRegion) {
 }
 
 TEST(CoverTest, ConeCoverContainsSampledPoints) {
+  const Mesh mesh{4};
   util::Rng rng{77};
   for (int trial = 0; trial < 20; ++trial) {
     const Vec3 center = normalized(
         {rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 1)});
     const Cone cone{center, rng.uniform(0.01, 0.3)};
-    const int level = 4;
-    const auto cover = cover_region(Region{cone}, level);
+    const auto cover = mesh.cover(Region{cone});
     ASSERT_FALSE(cover.empty());
     // Every sampled point of the region must land in a covered trixel.
     for (int i = 0; i < 50; ++i) {
@@ -93,8 +93,8 @@ TEST(CoverTest, ConeCoverContainsSampledPoints) {
                         center.y + rng.normal(0, cone.radius_rad),
                         center.z + rng.normal(0, cone.radius_rad)});
       } while (!cone.contains(p));
-      const HtmId id = locate(p, level);
-      EXPECT_TRUE(std::binary_search(cover.begin(), cover.end(), id))
+      const auto idx = static_cast<std::int32_t>(mesh.locate(p));
+      EXPECT_TRUE(std::binary_search(cover.begin(), cover.end(), idx))
           << "trial " << trial;
     }
   }
@@ -102,22 +102,25 @@ TEST(CoverTest, ConeCoverContainsSampledPoints) {
 
 TEST(CoverTest, CoverIsSortedUnique) {
   const Cone cone{from_ra_dec(200.0, 30.0), 0.2};
-  const auto cover = cover_region(Region{cone}, 5);
+  const auto cover = Mesh{5}.cover(Region{cone});
   EXPECT_TRUE(std::is_sorted(cover.begin(), cover.end()));
   EXPECT_EQ(std::adjacent_find(cover.begin(), cover.end()), cover.end());
-  for (const HtmId id : cover) EXPECT_EQ(level_of(id), 5);
+  for (const std::int32_t idx : cover) {
+    EXPECT_GE(idx, 0);
+    EXPECT_LT(idx, trixel_count_at_level(5));
+  }
 }
 
 TEST(CoverTest, TinyConeCoversFewTrixels) {
   const Cone cone{from_ra_dec(123.0, -45.0), 1e-4};
-  const auto cover = cover_region(Region{cone}, 5);
+  const auto cover = Mesh{5}.cover(Region{cone});
   EXPECT_GE(cover.size(), 1u);
   EXPECT_LE(cover.size(), 8u);  // tiny cone touches at most a corner fan
 }
 
 TEST(CoverTest, FullSkyBandCoversManyTrixels) {
   const GreatCircleBand band{{0.0, 0.0, 1.0}, degrees_to_radians(5.0)};
-  const auto cover = cover_region(Region{band}, 4);
+  const auto cover = Mesh{4}.cover(Region{band});
   // The equator strip passes through all 8 roots.
   EXPECT_GT(cover.size(), 50u);
 }
@@ -127,9 +130,10 @@ TEST(CoverTest, ConeAreaApproximatesCoverArea) {
   // moderately fine level.
   const double radius = 0.15;
   const Cone cone{from_ra_dec(80.0, 20.0), radius};
-  const auto cover = cover_region(Region{cone}, 6);
+  const Mesh mesh{6};
+  const auto cover = mesh.cover(Region{cone});
   double covered = 0.0;
-  for (const HtmId id : cover) covered += Trixel::from_id(id).area();
+  for (const std::int32_t idx : cover) covered += mesh.area(idx);
   const double cone_area =
       2.0 * std::numbers::pi * (1.0 - std::cos(radius));
   EXPECT_GT(covered, cone_area);          // conservative inclusion
@@ -138,13 +142,14 @@ TEST(CoverTest, ConeAreaApproximatesCoverArea) {
 
 TEST(CoverTest, RectCoverMatchesContainedPoints) {
   const RaDecRect rect{140.0, 160.0, 20.0, 35.0};
-  const auto cover = cover_region(Region{rect}, 5);
+  const Mesh mesh{5};
+  const auto cover = mesh.cover(Region{rect});
   util::Rng rng{31};
   for (int i = 0; i < 300; ++i) {
     const Vec3 p = from_ra_dec(rng.uniform(140.0, 160.0),
                                rng.uniform(20.0, 35.0));
-    const HtmId id = locate(p, 5);
-    EXPECT_TRUE(std::binary_search(cover.begin(), cover.end(), id));
+    const auto idx = static_cast<std::int32_t>(mesh.locate(p));
+    EXPECT_TRUE(std::binary_search(cover.begin(), cover.end(), idx));
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "util/rng.h"
 
@@ -22,13 +23,29 @@ TEST(HtmIdTest, LevelEncoding) {
 }
 
 TEST(HtmIdTest, IndexRoundTrip) {
-  for (int level = 0; level <= 4; ++level) {
+  for (int level = 0; level <= 20; ++level) {
     const auto count = trixel_count_at_level(level);
-    for (std::int64_t i : {std::int64_t{0}, count / 2, count - 1}) {
+    for (std::int64_t i :
+         {std::int64_t{0}, std::int64_t{1}, count / 3, count / 2, count - 1}) {
       const HtmId id = id_from_index(level, i);
-      EXPECT_EQ(level_of(id), level);
-      EXPECT_EQ(index_in_level(id), i);
+      EXPECT_EQ(level_of(id), level) << "level " << level << " index " << i;
+      EXPECT_EQ(index_in_level(id), i) << "level " << level;
     }
+    // Between a level's last id (16 * 4^L - 1) and the next level's first
+    // (32 * 4^L) lie no ids.
+    EXPECT_THROW((void)level_of(first_id_at_level(level) + count),
+                 std::logic_error);
+    EXPECT_THROW((void)level_of(first_id_at_level(level + 1) - 1),
+                 std::logic_error);
+  }
+}
+
+TEST(HtmIdTest, LevelOfRejectsInvalidIds) {
+  // Valid ids lie in [8 * 4^L, 16 * 4^L); everything between two levels'
+  // ranges, below 8 or negative is not an id.
+  for (const HtmId bad : {HtmId{-1}, HtmId{0}, HtmId{7}, HtmId{16}, HtmId{31},
+                          HtmId{64}, HtmId{127}, (HtmId{16} << 20) + 5}) {
+    EXPECT_THROW((void)level_of(bad), std::logic_error) << bad;
   }
 }
 
@@ -89,32 +106,6 @@ TEST(TrixelTest, FromIdReconstructsDescentPath) {
     EXPECT_NEAR(angular_distance(a.vertices()[static_cast<std::size_t>(i)],
                                  b.vertices()[static_cast<std::size_t>(i)]),
                 0.0, 1e-12);
-  }
-}
-
-TEST(TrixelTest, LocateFindsContainingTrixel) {
-  util::Rng rng{123};
-  for (int i = 0; i < 500; ++i) {
-    const Vec3 p = normalized({rng.normal(0, 1), rng.normal(0, 1),
-                               rng.normal(0, 1)});
-    for (int level : {0, 2, 5}) {
-      const HtmId id = locate(p, level);
-      EXPECT_EQ(level_of(id), level);
-      EXPECT_TRUE(Trixel::from_id(id).contains(p));
-    }
-  }
-}
-
-TEST(TrixelTest, LocateConsistentWithAncestors) {
-  util::Rng rng{321};
-  for (int i = 0; i < 200; ++i) {
-    const Vec3 p = normalized({rng.normal(0, 1), rng.normal(0, 1),
-                               rng.normal(0, 1)});
-    const HtmId deep = locate(p, 6);
-    const HtmId shallow = locate(p, 2);
-    // Descent may differ on exact edges; ancestor containment must agree
-    // for generic points.
-    EXPECT_EQ(ancestor_at_level(deep, 2), shallow);
   }
 }
 

@@ -39,8 +39,8 @@ TEST(DensityModelTest, ZeroOutsideFootprint) {
   // The antipode of the footprint center must have zero density.
   const htm::Vec3 anti =
       htm::from_ra_dec(185.0 - 180.0, -32.0);
-  const htm::HtmId t = htm::locate(anti, kLevel);
-  EXPECT_DOUBLE_EQ(d->rows_in_base_trixel(htm::index_in_level(t)), 0.0);
+  EXPECT_DOUBLE_EQ(d->rows_in_base_trixel(htm::Mesh{kLevel}.locate(anti)),
+                   0.0);
 }
 
 TEST(DensityModelTest, ScalingPreservesShape) {

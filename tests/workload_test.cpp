@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
@@ -216,6 +218,52 @@ TEST(TraceGeneratorTest, RemapPreservesCostsAndCoversObjects) {
   std::size_t total_objects = 0;
   for (const Query& q : t.queries) total_objects += q.objects.size();
   EXPECT_GT(total_objects, t.queries.size());
+}
+
+// Pins a trace at the paper's base level: every golden table runs at level
+// 4, so without this nothing fixes the level-5 covers, locations and costs
+// the figure benches replay. The digest was recorded before the HTM cover
+// and locate moved onto the precomputed mesh; any change to either shows
+// up here.
+TEST(TraceGeneratorTest, PaperLevelTraceDigestIsPinned) {
+  const auto density = std::make_shared<storage::DensityModel>(5, 2010);
+  density->scale_to_total_rows(4.0e8);
+  const auto map = std::make_shared<htm::PartitionMap>(
+      htm::PartitionMap::build(5, density->weights(), 68));
+  ASSERT_EQ(map->object_count(), 68u);
+  TraceParams params;
+  params.query_count = 20'000;
+  params.update_count = 20'000;
+  params.postwarmup_query_gb = 300.0 * 20'000 / 250'000;
+  const Trace t = TraceGenerator{map, *density, params}.generate(1);
+
+  // FNV-1a over the fields a replay reads.
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const Query& q : t.queries) {
+    mix(q.base_cover.size());
+    for (const std::int32_t idx : q.base_cover) {
+      mix(static_cast<std::uint64_t>(idx));
+    }
+    mix(q.objects.size());
+    for (const ObjectId o : q.objects) {
+      mix(static_cast<std::uint64_t>(o.value()));
+    }
+    mix(static_cast<std::uint64_t>(q.cost.count()));
+    mix(static_cast<std::uint64_t>(q.staleness_tolerance));
+  }
+  for (const Update& u : t.updates) {
+    mix(static_cast<std::uint64_t>(u.base_index));
+    mix(static_cast<std::uint64_t>(u.object.value()));
+    mix(static_cast<std::uint64_t>(u.cost.count()));
+    mix(std::bit_cast<std::uint64_t>(u.rows));
+  }
+  EXPECT_EQ(h, 0x2F6E1F9E6BDD52D0ULL) << std::hex << "digest 0x" << h;
 }
 
 TEST(TraceIoTest, RoundTripsExactly) {
